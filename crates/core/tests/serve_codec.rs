@@ -13,6 +13,9 @@ use hidwa_eqs::body::BodySite;
 use hidwa_phy::RadioTechnology;
 use proptest::prelude::*;
 
+mod common;
+use common::{representative_requests, OBJECTIVES};
+
 /// Re-implementation of the documented FNV-1a 64 seal (ARCHITECTURE.md wire
 /// format), so tests can mint structurally valid envelopes with chosen
 /// fields.
@@ -31,38 +34,6 @@ fn reseal(blob: &mut [u8]) {
     let body_len = blob.len() - 8;
     let seal = fnv1a64(&blob[..body_len]);
     blob[body_len..].copy_from_slice(&seal.to_be_bytes());
-}
-
-const OBJECTIVES: [Objective; 3] = [
-    Objective::LeafEnergy,
-    Objective::Latency,
-    Objective::EnergyDelayProduct,
-];
-
-/// A request batch exercising every query kind, link kind and flag state.
-fn representative_requests() -> Vec<Request> {
-    let mut requests = Vec::new();
-    for (i, model) in ModelId::ALL.into_iter().enumerate() {
-        requests.push(Request::Plan(PlanRequest {
-            model,
-            context: WireContext::of(WireLink::WiR),
-            objective: OBJECTIVES[i % 3],
-        }));
-    }
-    requests.push(Request::Plan(PlanRequest {
-        model: ModelId::KeywordSpotting,
-        context: WireContext::of(WireLink::Ble).without_quantization(),
-        objective: Objective::Latency,
-    }));
-    requests.push(Request::Plan(PlanRequest {
-        model: ModelId::EcgArrhythmia,
-        context: WireContext::of(WireLink::Site(RadioTechnology::WiR, BodySite::Ankle))
-            .with_energy_per_bit_pj(37.5)
-            .with_goodput_bps(1.25e6),
-        objective: Objective::EnergyDelayProduct,
-    }));
-    requests.push(Request::Projection(ProjectionRequest { rate_bps: 4000.0 }));
-    requests
 }
 
 /// A response batch exercising every answer kind.

@@ -30,8 +30,10 @@
 //!                                 placement-energy ExactSum ·
 //!                                 fleet sketch · body-p95 sketch ·
 //!                                 worst list
-//! checksum u64                    FNV-1a 64 over every preceding byte
+//! seal u64                        FNV-1a 64 over every preceding byte
 //! ```
+//!
+//! Magic, version and seal are the shared [`crate::sealed`] envelope.
 //!
 //! Version 2 (PR 9) added the churn fingerprint to the config identity and
 //! the migration / re-plan / active-span / placement-energy statistics to
@@ -48,6 +50,7 @@
 //! that passes the checksum but violates the algebra is still rejected.
 
 use super::{ranks_before, BodySummary, FleetAggregator, FleetConfig};
+use crate::sealed::{self, take_f64, take_u32, take_u64, EnvelopeError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use hidwa_netsim::sketch::{ExactSum, LatencySketch, SketchCodecError};
 use hidwa_units::{Energy, TimeSpan};
@@ -58,10 +61,6 @@ const MAGIC: &[u8; 8] = b"HIDWAFLT";
 
 /// Current checkpoint format version.
 const VERSION: u16 = 2;
-
-/// Bytes of envelope that must exist before payload decoding can start:
-/// magic + version + trailing checksum.
-const ENVELOPE: usize = MAGIC.len() + 2 + 8;
 
 /// Why checkpoint bytes failed to load, or a loaded checkpoint failed to
 /// resume.  Loading never panics and never silently mis-restores: every
@@ -109,6 +108,17 @@ impl std::fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
+
+impl From<EnvelopeError> for CheckpointError {
+    fn from(error: EnvelopeError) -> Self {
+        match error {
+            EnvelopeError::Truncated => Self::Truncated,
+            EnvelopeError::BadMagic => Self::BadMagic,
+            EnvelopeError::UnsupportedVersion(version) => Self::UnsupportedVersion(version),
+            EnvelopeError::SealMismatch => Self::Corrupt("checksum mismatch"),
+        }
+    }
+}
 
 impl From<SketchCodecError> for CheckpointError {
     fn from(error: SketchCodecError) -> Self {
@@ -200,36 +210,32 @@ impl FleetCheckpoint {
     /// module docs for the layout).
     #[must_use]
     pub fn save(&self) -> Bytes {
-        let mut out = BytesMut::new();
-        out.put_slice(MAGIC);
-        out.put_u16(VERSION);
-        out.put_u64(self.base_seed);
-        out.put_u64(self.bodies);
-        out.put_f64(self.horizon.as_seconds());
-        out.put_u32(self.top_k);
-        out.put_u64(self.churn_fp);
-        out.put_u64(self.next_body);
-        let aggregator = &self.aggregator;
-        out.put_u64(aggregator.bodies as u64);
-        out.put_u64(aggregator.total_generated as u64);
-        out.put_u64(aggregator.total_delivered as u64);
-        out.put_u64(aggregator.total_delivered_bytes as u64);
-        out.put_u64(aggregator.total_events);
-        out.put_f64(aggregator.min_body_delivery_ratio);
-        out.put_u64(aggregator.total_migrations);
-        out.put_u64(aggregator.total_replans);
-        aggregator.total_energy.encode(&mut out);
-        aggregator.active_span.encode(&mut out);
-        aggregator.placement_energy.encode(&mut out);
-        aggregator.fleet_latency.encode(&mut out);
-        aggregator.body_p95.encode(&mut out);
-        out.put_u32(aggregator.worst.len() as u32);
-        for summary in &aggregator.worst {
-            encode_summary(summary, &mut out);
-        }
-        let checksum = fnv1a64(&out);
-        out.put_u64(checksum);
-        out.freeze()
+        sealed::seal(MAGIC, VERSION, |out| {
+            out.put_u64(self.base_seed);
+            out.put_u64(self.bodies);
+            out.put_f64(self.horizon.as_seconds());
+            out.put_u32(self.top_k);
+            out.put_u64(self.churn_fp);
+            out.put_u64(self.next_body);
+            let aggregator = &self.aggregator;
+            out.put_u64(aggregator.bodies as u64);
+            out.put_u64(aggregator.total_generated as u64);
+            out.put_u64(aggregator.total_delivered as u64);
+            out.put_u64(aggregator.total_delivered_bytes as u64);
+            out.put_u64(aggregator.total_events);
+            out.put_f64(aggregator.min_body_delivery_ratio);
+            out.put_u64(aggregator.total_migrations);
+            out.put_u64(aggregator.total_replans);
+            aggregator.total_energy.encode(out);
+            aggregator.active_span.encode(out);
+            aggregator.placement_energy.encode(out);
+            aggregator.fleet_latency.encode(out);
+            aggregator.body_p95.encode(out);
+            out.put_u32(aggregator.worst.len() as u32);
+            for summary in &aggregator.worst {
+                encode_summary(summary, out);
+            }
+        })
     }
 
     /// Decodes and validates a checkpoint previously written by
@@ -244,22 +250,7 @@ impl FleetCheckpoint {
     ///   or any violated aggregator invariant (bit flips that survive the
     ///   checksum cannot survive the invariants).
     pub fn load(raw: &[u8]) -> Result<Self, CheckpointError> {
-        if raw.len() < ENVELOPE {
-            return Err(CheckpointError::Truncated);
-        }
-        if &raw[..MAGIC.len()] != MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let version = u16::from_be_bytes([raw[MAGIC.len()], raw[MAGIC.len() + 1]]);
-        if version != VERSION {
-            return Err(CheckpointError::UnsupportedVersion(version));
-        }
-        let (body, tail) = raw.split_at(raw.len() - 8);
-        let stored = u64::from_be_bytes(tail.try_into().expect("8-byte tail"));
-        if fnv1a64(body) != stored {
-            return Err(CheckpointError::Corrupt("checksum mismatch"));
-        }
-        let mut input = Bytes::from(body[MAGIC.len() + 2..].to_vec());
+        let mut input = sealed::open(raw, MAGIC, VERSION)?;
         let base_seed = take_u64(&mut input)?;
         let bodies = take_u64(&mut input)?;
         let horizon_seconds = take_f64(&mut input)?;
@@ -449,35 +440,4 @@ fn decode_summary(input: &mut Bytes) -> Result<BodySummary, CheckpointError> {
         replans,
         placement_energy: Energy::from_joules(placement_joules),
     })
-}
-
-/// FNV-1a 64-bit digest — the checkpoint's corruption seal, also reused by
-/// the driver's run fingerprints.  Not cryptographic (the threat model is
-/// bit rot and truncation, not forgery), but any single-bit flip anywhere in
-/// the blob changes it.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
-fn take_u32(input: &mut Bytes) -> Result<u32, CheckpointError> {
-    if input.remaining() < 4 {
-        return Err(CheckpointError::Truncated);
-    }
-    Ok(input.get_u32())
-}
-
-fn take_u64(input: &mut Bytes) -> Result<u64, CheckpointError> {
-    if input.remaining() < 8 {
-        return Err(CheckpointError::Truncated);
-    }
-    Ok(input.get_u64())
-}
-
-fn take_f64(input: &mut Bytes) -> Result<f64, CheckpointError> {
-    Ok(f64::from_bits(take_u64(input)?))
 }

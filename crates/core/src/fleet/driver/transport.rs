@@ -8,11 +8,12 @@
 //! their contents.  Two implementations ship:
 //!
 //! * [`SpoolTransport`] — a spool **directory** on a filesystem both sides
-//!   can reach.  Publication is atomic (write to a temp name, `fsync`,
-//!   `rename` into place), so a reader either sees a complete blob or no
-//!   blob at all; a worker killed mid-write leaves only an ignored temp
-//!   file.  This is the default, and the only transport whose blobs survive
-//!   a coordinator restart — which is what makes driver runs resumable.
+//!   can reach.  Publication is atomic and durable (write to a temp name,
+//!   `fsync`, `rename` into place, `fsync` the directory), so a reader
+//!   either sees a complete blob or no blob at all; a worker killed
+//!   mid-write leaves only an ignored temp file.  This is the default, and
+//!   the only transport whose blobs survive a coordinator restart — which
+//!   is what makes driver runs resumable.
 //! * [`SocketHub`] / [`SocketPublisher`] — a loopback TCP hub the
 //!   coordinator binds and workers connect to, for runs where no shared
 //!   filesystem exists.  Blobs land in coordinator memory; a restarted
@@ -37,6 +38,7 @@
 //! std::fs::remove_dir_all(&dir).ok();
 //! ```
 
+use crate::sealed;
 use crate::wire::{self, FrameError};
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -160,9 +162,8 @@ pub trait Transport: Send + Sync {
 /// * `shard-<index>.ckpt` — a complete, published checkpoint blob.
 /// * `shard-<index>.ckpt.tmp-<pid>` — an in-flight write.  Readers must
 ///   ignore every name that is not exactly `shard-<index>.ckpt`; the writer
-///   renames the temp file into place only after the bytes are written and
-///   synced, and `rename(2)` within one directory is atomic on POSIX
-///   filesystems.
+///   publishes through [`sealed::atomic_publish`] (write and `fsync` the
+///   temp file, `rename` it into place, `fsync` the directory).
 ///
 /// The coordinator conventionally places the directory at
 /// `<spool_root>/<run_fingerprint>/` (see
@@ -193,12 +194,7 @@ impl SpoolTransport {
     /// Path of shard `shard`'s published blob (`shard-<index>.ckpt`).
     #[must_use]
     pub fn blob_path(&self, shard: usize) -> PathBuf {
-        self.dir.join(format!("shard-{shard}.ckpt"))
-    }
-
-    fn temp_path(&self, shard: usize) -> PathBuf {
-        self.dir
-            .join(format!("shard-{shard}.ckpt.tmp-{}", std::process::id()))
+        self.dir.join(blob_name(shard))
     }
 
     /// Fault-injection helper: writes the temp file a killed-mid-write
@@ -209,23 +205,19 @@ impl SpoolTransport {
     /// # Errors
     /// [`std::io::Error`] when the temp file cannot be written.
     pub fn write_partial(&self, shard: usize, blob: &[u8]) -> std::io::Result<PathBuf> {
-        let temp = self.temp_path(shard);
+        let temp = sealed::temp_path(&self.dir, &blob_name(shard));
         std::fs::write(&temp, blob)?;
         Ok(temp)
     }
 }
 
+fn blob_name(shard: usize) -> String {
+    format!("shard-{shard}.ckpt")
+}
+
 impl Transport for SpoolTransport {
     fn publish(&self, shard: usize, blob: &[u8]) -> Result<(), TransportError> {
-        let temp = self.temp_path(shard);
-        {
-            let mut file = std::fs::File::create(&temp)?;
-            file.write_all(blob)?;
-            // Durability before visibility: the rename must never expose a
-            // name whose bytes could still be lost to a crash.
-            file.sync_all()?;
-        }
-        std::fs::rename(&temp, self.blob_path(shard))?;
+        sealed::atomic_publish(&self.dir, &blob_name(shard), blob)?;
         Ok(())
     }
 

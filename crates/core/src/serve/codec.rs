@@ -1,10 +1,9 @@
 //! Versioned, checksummed binary codec for plan-server requests and
 //! responses.
 //!
-//! The wire discipline mirrors the fleet checkpoint format
-//! ([`FleetCheckpoint`](crate::fleet::FleetCheckpoint)): every envelope
-//! leads with a magic and a format version, ends with an FNV-1a-64 seal over
-//! every preceding byte, and decoding **never panics** — truncated,
+//! Every envelope is a [`crate::sealed`] envelope — a magic and a format
+//! version up front, an FNV-1a-64 seal over every preceding byte at the
+//! end — and decoding **never panics**: truncated,
 //! bit-flipped, version-bumped or otherwise malformed bytes come back as a
 //! typed [`WireCodecError`], and every enumeration byte is range-checked so
 //! a blob that passes the checksum but names an unknown model, objective or
@@ -33,6 +32,7 @@
 //! normative field-by-field table lives in `ARCHITECTURE.md`.
 
 use crate::partition::Objective;
+use crate::sealed::{self, take_f64, take_u16, take_u32, take_u64, take_u8, EnvelopeError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use hidwa_eqs::body::BodySite;
 use hidwa_phy::RadioTechnology;
@@ -53,10 +53,6 @@ pub const MAX_SERVE_FRAME: u64 = 1 << 20;
 
 /// Most queries (or answers) one envelope may carry.
 pub const MAX_BATCH: usize = 4096;
-
-/// Bytes of envelope that must exist before payload decoding can start:
-/// magic + version + kind + count + trailing checksum.
-const ENVELOPE: usize = 8 + 2 + 1 + 2 + 8;
 
 /// Why serve bytes failed to decode.  Decoding never panics and never
 /// mis-accepts: every malformed input maps to one of these variants.
@@ -87,6 +83,17 @@ impl std::fmt::Display for WireCodecError {
 }
 
 impl std::error::Error for WireCodecError {}
+
+impl From<EnvelopeError> for WireCodecError {
+    fn from(error: EnvelopeError) -> Self {
+        match error {
+            EnvelopeError::Truncated => Self::Truncated,
+            EnvelopeError::BadMagic => Self::BadMagic,
+            EnvelopeError::UnsupportedVersion(version) => Self::UnsupportedVersion(version),
+            EnvelopeError::SealMismatch => Self::Corrupt("checksum mismatch"),
+        }
+    }
+}
 
 /// The five models of the wearable zoo, as stable wire identifiers.
 ///
@@ -453,12 +460,6 @@ fn put_response(out: &mut BytesMut, response: &Response) {
     }
 }
 
-fn seal(mut out: BytesMut) -> Bytes {
-    let checksum = crate::fleet::checkpoint::fnv1a64(&out);
-    out.put_u64(checksum);
-    out.freeze()
-}
-
 fn encode_envelope<T>(
     magic: &[u8; 8],
     kind: u8,
@@ -466,15 +467,13 @@ fn encode_envelope<T>(
     put: impl Fn(&mut BytesMut, &T),
 ) -> Bytes {
     assert!(items.len() <= MAX_BATCH, "batch exceeds MAX_BATCH");
-    let mut out = BytesMut::new();
-    out.put_slice(magic);
-    out.put_u16(WIRE_VERSION);
-    out.put_u8(kind);
-    out.put_u16(items.len() as u16);
-    for item in items {
-        put(&mut out, item);
-    }
-    seal(out)
+    sealed::seal(magic, WIRE_VERSION, |out| {
+        out.put_u8(kind);
+        out.put_u16(items.len() as u16);
+        for item in items {
+            put(out, item);
+        }
+    })
 }
 
 /// Encodes a batch of queries into one sealed request envelope.
@@ -509,31 +508,6 @@ pub fn encode_bye() -> Bytes {
 }
 
 // --- decoding ---------------------------------------------------------------
-
-fn take_u8(input: &mut Bytes) -> Result<u8, WireCodecError> {
-    if input.remaining() < 1 {
-        return Err(WireCodecError::Truncated);
-    }
-    Ok(input.get_u8())
-}
-
-fn take_u32(input: &mut Bytes) -> Result<u32, WireCodecError> {
-    if input.remaining() < 4 {
-        return Err(WireCodecError::Truncated);
-    }
-    Ok(input.get_u32())
-}
-
-fn take_u64(input: &mut Bytes) -> Result<u64, WireCodecError> {
-    if input.remaining() < 8 {
-        return Err(WireCodecError::Truncated);
-    }
-    Ok(input.get_u64())
-}
-
-fn take_f64(input: &mut Bytes) -> Result<f64, WireCodecError> {
-    Ok(f64::from_bits(take_u64(input)?))
-}
 
 fn take_string(input: &mut Bytes) -> Result<String, WireCodecError> {
     let len = take_u32(input)? as usize;
@@ -654,38 +628,16 @@ fn take_response(input: &mut Bytes) -> Result<Response, WireCodecError> {
     }
 }
 
-/// Validates the envelope frame (magic, version, checksum) and returns the
-/// payload cursor plus the kind and item-count fields.
+/// Opens the sealed envelope and returns the payload cursor plus the kind
+/// and item-count fields.
 fn open_envelope(raw: &[u8], magic: &[u8; 8]) -> Result<(Bytes, u8, usize), WireCodecError> {
-    if raw.len() < ENVELOPE {
-        return Err(WireCodecError::Truncated);
-    }
-    if &raw[..8] != magic {
-        return Err(WireCodecError::BadMagic);
-    }
-    let version = u16::from_be_bytes([raw[8], raw[9]]);
-    if version != WIRE_VERSION {
-        return Err(WireCodecError::UnsupportedVersion(version));
-    }
-    let (body, tail) = raw.split_at(raw.len() - 8);
-    let stored = u64::from_be_bytes(tail.try_into().expect("8-byte tail"));
-    if crate::fleet::checkpoint::fnv1a64(body) != stored {
-        return Err(WireCodecError::Corrupt("checksum mismatch"));
-    }
-    let mut input = Bytes::from(body[10..].to_vec());
+    let mut input = sealed::open(raw, magic, WIRE_VERSION)?;
     let kind = take_u8(&mut input)?;
-    let count = take_u64_16(&mut input)?;
+    let count = usize::from(take_u16(&mut input)?);
     if count > MAX_BATCH {
         return Err(WireCodecError::Corrupt("batch larger than MAX_BATCH"));
     }
     Ok((input, kind, count))
-}
-
-fn take_u64_16(input: &mut Bytes) -> Result<usize, WireCodecError> {
-    if input.remaining() < 2 {
-        return Err(WireCodecError::Truncated);
-    }
-    Ok(input.get_u16() as usize)
 }
 
 fn close_envelope(input: &Bytes) -> Result<(), WireCodecError> {

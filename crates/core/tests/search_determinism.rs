@@ -12,7 +12,9 @@ use hidwa_core::fleet::driver::{DriverFleetSpec, FleetDriver, InProcessExecutor}
 use hidwa_core::fleet::placement::{ChurnSpec, PolicyKind};
 use hidwa_core::partition::Objective;
 use hidwa_core::population::ChurnModel;
-use hidwa_core::search::{ObjectiveSpace, SearchDriver, SearchRun, SearchSpec, SearchStrategy};
+use hidwa_core::search::{
+    ObjectiveSpace, SearchDriver, SearchRun, SearchSpec, SearchStrategy, CHECKPOINT_FILE,
+};
 use hidwa_core::sweep::SweepRunner;
 use hidwa_netsim::mac::MacPolicy;
 use hidwa_phy::RadioTechnology;
@@ -253,5 +255,46 @@ fn full_grid_anchor_is_layout_invariant() {
     assert_eq!(
         merged_bytes(1, direct_root.path()),
         merged_bytes(3, sharded_root.path())
+    );
+}
+
+/// A coordinator killed mid-publish leaves `search.ckpt.tmp-<pid>` next to
+/// the index.  Resuming must ignore it — whether it carries this process's
+/// pid (the next publish writes over it) or another's — and finish with the
+/// outcomes and index bytes of an uninterrupted run.
+#[test]
+fn leftover_index_temp_file_does_not_affect_resume() {
+    let spec = SearchSpec::new(base_spec(3, 5, 40), space(true, true, false));
+    let driver = SearchDriver::new(spec, SearchStrategy::ExhaustiveGrid);
+    let runner = SweepRunner::serial();
+    let executor = InProcessExecutor::serial();
+
+    let baseline_root = Scratch::new("tombstone-baseline");
+    let (baseline, baseline_bytes) = run_in(&driver, &runner, 1, baseline_root.path());
+
+    let killed_root = Scratch::new("tombstone-killed");
+    let root = killed_root.path();
+    driver
+        .run_with_budget(&runner, &executor, root, Some(3))
+        .expect("budgeted search runs");
+    let index = std::fs::read(SearchDriver::checkpoint_path(root)).expect("index exists");
+    let own = hidwa_core::sealed::temp_path(root, CHECKPOINT_FILE);
+    let foreign = root.join(format!("{CHECKPOINT_FILE}.tmp-0"));
+    std::fs::write(&own, &index[..index.len() / 2]).expect("write own tombstone");
+    std::fs::write(&foreign, b"HIDWASRC torn").expect("write foreign tombstone");
+
+    let resumed = driver
+        .run(&runner, &executor, root)
+        .expect("resumed search runs");
+    assert!(resumed.complete());
+    assert_eq!(resumed.resumed(), 3);
+    assert_eq!(resumed.evaluations(), baseline.evaluations());
+    assert_eq!(resumed.frontier(), baseline.frontier());
+    let resumed_bytes = std::fs::read(SearchDriver::checkpoint_path(root)).expect("index exists");
+    assert_eq!(resumed_bytes, baseline_bytes);
+    assert!(!own.exists(), "the publish renames its own temp name away");
+    assert_eq!(
+        std::fs::read(&foreign).expect("foreign tombstone"),
+        b"HIDWASRC torn"
     );
 }

@@ -1,4 +1,6 @@
-//! Fixtures shared by the integration tests of the sealed formats.
+//! Fixtures shared by the integration tests of the sealed formats: an
+//! independent copy of the documented seal, re-sealing, the corruption
+//! sweeps, and the representative plan-serving request batch.
 
 #![allow(dead_code)]
 
@@ -40,4 +42,59 @@ pub fn representative_requests() -> Vec<Request> {
     }));
     requests.push(Request::Projection(ProjectionRequest { rate_bps: 4000.0 }));
     requests
+}
+
+/// Re-implementation of the documented FNV-1a 64 seal (ARCHITECTURE.md,
+/// "Sealed envelope"), deliberately not the crate's own, so tests can mint
+/// structurally valid blobs with chosen fields.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    for &byte in bytes {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    hash
+}
+
+/// Recomputes the trailing seal after a mutation, so the tampering under
+/// test — not the seal — decides whether the blob decodes.
+pub fn reseal(blob: &mut [u8]) {
+    let body_len = blob.len() - 8;
+    let seal = fnv1a64(&blob[..body_len]);
+    blob[body_len..].copy_from_slice(&seal.to_be_bytes());
+}
+
+/// Asserts that `decode` rejects every proper prefix of `blob` (a `what`).
+pub fn assert_every_prefix_rejected<T, E>(
+    blob: &[u8],
+    what: &str,
+    decode: impl Fn(&[u8]) -> Result<T, E>,
+) {
+    for cut in 0..blob.len() {
+        assert!(
+            decode(&blob[..cut]).is_err(),
+            "a {cut}-byte prefix of a {}-byte {what} decoded",
+            blob.len()
+        );
+    }
+}
+
+/// Asserts that `decode` rejects `blob` (a `what`) with one bit flipped, for
+/// every byte position.  The flipped bit rotates with the position so all
+/// eight bit lanes are exercised: the FNV seal catches every single-bit flip
+/// by construction, and the sweep proves no decode path panics or accepts.
+pub fn assert_every_bit_flip_rejected<T, E>(
+    blob: &[u8],
+    what: &str,
+    decode: impl Fn(&[u8]) -> Result<T, E>,
+) {
+    for position in 0..blob.len() {
+        let bit = position % 8;
+        let mut tampered = blob.to_vec();
+        tampered[position] ^= 1 << bit;
+        assert!(
+            decode(&tampered).is_err(),
+            "bit {bit} of byte {position} of a {what} flipped and it still decoded"
+        );
+    }
 }

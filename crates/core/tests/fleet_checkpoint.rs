@@ -8,23 +8,15 @@ use hidwa_core::population::{ChurnModel, PopulationModel};
 use hidwa_core::sweep::SweepRunner;
 use hidwa_units::TimeSpan;
 
+mod common;
+use common::{assert_every_bit_flip_rejected, assert_every_prefix_rejected, reseal};
+
 fn fleet() -> FleetConfig {
     FleetConfig::new(100)
         .with_population(PopulationModel::mixed_default())
         .with_base_seed(424242)
         .with_horizon(TimeSpan::from_seconds(0.5))
         .with_top_k(6)
-}
-
-/// Re-implementation of the documented FNV-1a 64 seal (ARCHITECTURE.md wire
-/// format), so tests can mint structurally valid blobs with chosen fields.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
 }
 
 #[test]
@@ -86,34 +78,15 @@ fn thousand_body_hetero_fleet_state_bytes_are_width_independent() {
 #[test]
 fn truncated_checkpoints_error_at_every_cut() {
     let config = fleet();
-    let blob = config.run_until(&SweepRunner::serial(), 37).save().to_vec();
-    for cut in 0..blob.len() {
-        match FleetCheckpoint::load(&blob[..cut]) {
-            Err(_) => {}
-            Ok(_) => panic!(
-                "a {cut}-byte prefix of a {}-byte checkpoint loaded",
-                blob.len()
-            ),
-        }
-    }
+    let blob = config.run_until(&SweepRunner::serial(), 37).save();
+    assert_every_prefix_rejected(&blob, "checkpoint", FleetCheckpoint::load);
 }
 
 #[test]
 fn every_single_bit_flip_is_rejected() {
     let config = fleet();
-    let blob = config.run_until(&SweepRunner::serial(), 23).save().to_vec();
-    // One flip per byte position (rotating the bit index so all eight bit
-    // lanes are exercised): the FNV seal catches every single-bit flip by
-    // construction, and this sweep proves no code path panics or accepts one.
-    for position in 0..blob.len() {
-        let bit = position % 8;
-        let mut tampered = blob.clone();
-        tampered[position] ^= 1 << bit;
-        assert!(
-            FleetCheckpoint::load(&tampered).is_err(),
-            "bit {bit} of byte {position} flipped and the checkpoint still loaded"
-        );
-    }
+    let blob = config.run_until(&SweepRunner::serial(), 23).save();
+    assert_every_bit_flip_rejected(&blob, "checkpoint", FleetCheckpoint::load);
 }
 
 #[test]
@@ -125,9 +98,7 @@ fn version_and_magic_mismatches_are_typed() {
     // UnsupportedVersion, not mis-parsed.
     let mut future = blob.clone();
     future[9] = 3; // version u16 big-endian at offset 8..10
-    let body_len = future.len() - 8;
-    let reseal = fnv1a64(&future[..body_len]);
-    future[body_len..].copy_from_slice(&reseal.to_be_bytes());
+    reseal(&mut future);
     assert_eq!(
         FleetCheckpoint::load(&future).unwrap_err(),
         CheckpointError::UnsupportedVersion(3)
@@ -138,8 +109,7 @@ fn version_and_magic_mismatches_are_typed() {
     // measured, so it rejects rather than restoring zeros.
     let mut old = blob.clone();
     old[9] = 1;
-    let reseal = fnv1a64(&old[..body_len]);
-    old[body_len..].copy_from_slice(&reseal.to_be_bytes());
+    reseal(&mut old);
     assert_eq!(
         FleetCheckpoint::load(&old).unwrap_err(),
         CheckpointError::UnsupportedVersion(1)
@@ -230,25 +200,11 @@ fn churned_resume_from_every_body_boundary_is_byte_identical() {
 #[test]
 fn churned_checkpoint_corruption_sweep_never_panics() {
     let config = churned_fleet();
-    let blob = config.run_until(&SweepRunner::serial(), 31).save().to_vec();
-    // Truncation at every cut.
-    for cut in 0..blob.len() {
-        assert!(
-            FleetCheckpoint::load(&blob[..cut]).is_err(),
-            "a {cut}-byte prefix of a churned checkpoint loaded"
-        );
-    }
-    // One bit flip per byte position, rotating through all eight lanes —
-    // covers the new migration/replan/active-span/placement-energy fields.
-    for position in 0..blob.len() {
-        let bit = position % 8;
-        let mut tampered = blob.clone();
-        tampered[position] ^= 1 << bit;
-        assert!(
-            FleetCheckpoint::load(&tampered).is_err(),
-            "bit {bit} of byte {position} of a churned checkpoint survived"
-        );
-    }
+    let blob = config.run_until(&SweepRunner::serial(), 31).save();
+    // Truncation at every cut, then one bit flip per byte position —
+    // covers the migration/replan/active-span/placement-energy fields.
+    assert_every_prefix_rejected(&blob, "churned checkpoint", FleetCheckpoint::load);
+    assert_every_bit_flip_rejected(&blob, "churned checkpoint", FleetCheckpoint::load);
 }
 
 #[test]

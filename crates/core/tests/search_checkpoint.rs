@@ -13,25 +13,8 @@ use hidwa_core::sweep::SweepRunner;
 use hidwa_netsim::mac::MacPolicy;
 use hidwa_phy::RadioTechnology;
 
-/// Local FNV-1a 64 copy, so the tests can re-seal deliberately corrupted
-/// blobs without depending on crate internals.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
-/// Recomputes the trailing seal after a mutation, so the corruption under
-/// test — not the seal — is what the decoder has to catch.
-fn reseal(mut blob: Vec<u8>) -> Vec<u8> {
-    let split = blob.len() - 8;
-    let seal = fnv1a64(&blob[..split]);
-    blob[split..].copy_from_slice(&seal.to_be_bytes());
-    blob
-}
+mod common;
+use common::{assert_every_bit_flip_rejected, assert_every_prefix_rejected, reseal};
 
 fn search_spec(seed: u64) -> SearchSpec {
     let base = DriverFleetSpec::new(2)
@@ -77,27 +60,13 @@ fn round_trip_is_exact() {
 #[test]
 fn every_prefix_truncation_is_a_typed_error() {
     let (_, _, blob) = populated();
-    for cut in 0..blob.len() {
-        let result = SearchCheckpoint::load(&blob[..cut]);
-        assert!(
-            result.is_err(),
-            "prefix of {cut} bytes decoded successfully"
-        );
-    }
+    assert_every_prefix_rejected(&blob, "search checkpoint", SearchCheckpoint::load);
 }
 
 #[test]
 fn every_single_bit_flip_is_a_typed_error() {
     let (_, _, blob) = populated();
-    for position in 0..blob.len() {
-        let mut corrupt = blob.clone();
-        corrupt[position] ^= 1 << (position % 8);
-        let result = SearchCheckpoint::load(&corrupt);
-        assert!(
-            result.is_err(),
-            "bit flip at byte {position} decoded successfully"
-        );
-    }
+    assert_every_bit_flip_rejected(&blob, "search checkpoint", SearchCheckpoint::load);
 }
 
 #[test]
@@ -105,7 +74,7 @@ fn resealed_version_bump_is_unsupported() {
     let (_, _, blob) = populated();
     let mut bumped = blob;
     bumped[8..10].copy_from_slice(&2u16.to_be_bytes());
-    let bumped = reseal(bumped);
+    reseal(&mut bumped);
     assert_eq!(
         SearchCheckpoint::load(&bumped),
         Err(SearchCheckpointError::UnsupportedVersion(2))
@@ -117,7 +86,7 @@ fn foreign_magic_is_rejected() {
     let (_, _, blob) = populated();
     let mut foreign = blob;
     foreign[..8].copy_from_slice(b"HIDWAFLT");
-    let foreign = reseal(foreign);
+    reseal(&mut foreign);
     assert_eq!(
         SearchCheckpoint::load(&foreign),
         Err(SearchCheckpointError::BadMagic)
@@ -131,8 +100,9 @@ fn foreign_magic_is_rejected() {
 #[test]
 fn structural_mutations_are_corrupt_not_panics() {
     let (_, _, blob) = populated();
-    let expect_corrupt = |mutated: Vec<u8>, label: &str| {
-        let result = SearchCheckpoint::load(&reseal(mutated));
+    let expect_corrupt = |mut mutated: Vec<u8>, label: &str| {
+        reseal(&mut mutated);
+        let result = SearchCheckpoint::load(&mutated);
         assert!(
             matches!(result, Err(SearchCheckpointError::Corrupt(_))),
             "{label}: expected Corrupt, got {result:?}"

@@ -14,27 +14,10 @@ use hidwa_phy::RadioTechnology;
 use proptest::prelude::*;
 
 mod common;
-use common::{representative_requests, OBJECTIVES};
-
-/// Re-implementation of the documented FNV-1a 64 seal (ARCHITECTURE.md wire
-/// format), so tests can mint structurally valid envelopes with chosen
-/// fields.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
-/// Re-seals a tampered envelope so only the tampering — not the checksum —
-/// decides whether it decodes.
-fn reseal(blob: &mut [u8]) {
-    let body_len = blob.len() - 8;
-    let seal = fnv1a64(&blob[..body_len]);
-    blob[body_len..].copy_from_slice(&seal.to_be_bytes());
-}
+use common::{
+    assert_every_bit_flip_rejected, assert_every_prefix_rejected, representative_requests, reseal,
+    OBJECTIVES,
+};
 
 /// A response batch exercising every answer kind.
 fn representative_responses() -> Vec<Response> {
@@ -83,49 +66,18 @@ fn request_and_response_envelopes_roundtrip_exactly() {
 
 #[test]
 fn every_prefix_truncation_is_rejected() {
-    let blob = codec::encode_requests(&representative_requests()).to_vec();
-    for cut in 0..blob.len() {
-        assert!(
-            codec::decode_request(&blob[..cut]).is_err(),
-            "a {cut}-byte prefix of a {}-byte request envelope decoded",
-            blob.len()
-        );
-    }
-    let blob = codec::encode_responses(&representative_responses()).to_vec();
-    for cut in 0..blob.len() {
-        assert!(
-            codec::decode_response(&blob[..cut]).is_err(),
-            "a {cut}-byte prefix of a {}-byte response envelope decoded",
-            blob.len()
-        );
-    }
+    let blob = codec::encode_requests(&representative_requests());
+    assert_every_prefix_rejected(&blob, "request envelope", codec::decode_request);
+    let blob = codec::encode_responses(&representative_responses());
+    assert_every_prefix_rejected(&blob, "response envelope", codec::decode_response);
 }
 
 #[test]
 fn every_single_bit_flip_is_rejected() {
-    let blob = codec::encode_requests(&representative_requests()).to_vec();
-    // One flip per byte position, rotating the bit index so all eight bit
-    // lanes are exercised: the FNV seal catches every single-bit flip by
-    // construction, and the sweep proves no decode path panics or accepts.
-    for position in 0..blob.len() {
-        let bit = position % 8;
-        let mut tampered = blob.clone();
-        tampered[position] ^= 1 << bit;
-        assert!(
-            codec::decode_request(&tampered).is_err(),
-            "bit {bit} of byte {position} flipped and the envelope still decoded"
-        );
-    }
-    let blob = codec::encode_responses(&representative_responses()).to_vec();
-    for position in 0..blob.len() {
-        let bit = position % 8;
-        let mut tampered = blob.clone();
-        tampered[position] ^= 1 << bit;
-        assert!(
-            codec::decode_response(&tampered).is_err(),
-            "bit {bit} of byte {position} flipped and the envelope still decoded"
-        );
-    }
+    let blob = codec::encode_requests(&representative_requests());
+    assert_every_bit_flip_rejected(&blob, "request envelope", codec::decode_request);
+    let blob = codec::encode_responses(&representative_responses());
+    assert_every_bit_flip_rejected(&blob, "response envelope", codec::decode_response);
 }
 
 #[test]

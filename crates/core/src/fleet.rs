@@ -41,8 +41,8 @@
 //!
 //! PR 5 adds the fourth axis: the **process boundary**.  [`driver`] is a
 //! coordinator/worker runtime that spawns shard worker *processes*, ships
-//! their partials as checkpoint blobs over a spool directory or local
-//! socket, re-runs killed or corrupted shards, and merges — byte-identical
+//! their partials as checkpoint blobs through a spool directory, re-runs
+//! killed or corrupted shards, and merges — byte-identical
 //! to the single-stream fold through every recovery path.
 //!
 //! PR 9 makes the fleet *live*: [`FleetConfig::with_churn`] attaches a

@@ -13,9 +13,9 @@
 //!   byte-identical to the in-process fold.
 //! * [`WorkerRequest`] — the normative worker CLI protocol: parse flags,
 //!   fold the assigned contiguous body range, publish the checkpoint blob
-//!   through a [`Transport`].  [`worker_main`] wraps it into a ready-made
-//!   binary entry point (`shard_worker` in the bench crate, and the
-//!   `--worker` modes of `fleet_driver`, `bench_netsim` and the
+//!   into a [`SpoolTransport`] directory.  [`worker_main`] wraps it into a
+//!   ready-made binary entry point (`shard_worker` in the bench crate, and
+//!   the `--worker` modes of `fleet_driver`, `bench_netsim` and the
 //!   `distributed_fleet` example all delegate here).
 //! * [`FleetDriver`] — the coordinator: assigns contiguous ranges, runs
 //!   shards through a [`ShardExecutor`] ([`ProcessExecutor`] spawns worker
@@ -37,12 +37,12 @@
 //! stays broken after [`max_attempts`](FleetDriver::with_max_attempts)
 //! executions fails the run with a typed [`DriverError`].
 //!
-//! Determinism: which process folded a shard, how often it was re-run, and
-//! which transport carried the blob are all invisible in the result — the
-//! merged report is byte-identical to [`FleetConfig::run`] on the same
-//! spec (property-tested in `crates/core/tests/fleet_driver.rs` across
-//! random shard layouts × kill points × resumes, and asserted against real
-//! killed processes in `crates/bench/tests/driver_process.rs`).
+//! Determinism: which process folded a shard and how often it was re-run
+//! are both invisible in the result — the merged report is byte-identical
+//! to [`FleetConfig::run`] on the same spec (property-tested in
+//! `crates/core/tests/fleet_driver.rs` across random shard layouts × kill
+//! points × resumes, and asserted against real killed processes in
+//! `crates/bench/tests/driver_process.rs`).
 //!
 //! # Example
 //!
@@ -73,6 +73,7 @@ use super::{FleetAggregator, FleetConfig, FleetReport};
 use crate::population::{LinkCache, PopulationModel};
 use crate::sealed::fnv1a64;
 use crate::sweep::SweepRunner;
+use bytes::Bytes;
 use hidwa_netsim::mac::MacPolicy;
 use hidwa_phy::RadioTechnology;
 use std::ops::Range;
@@ -81,7 +82,7 @@ use std::process::Command;
 
 pub mod transport;
 
-pub use transport::{SocketHub, SocketPublisher, SpoolTransport, Transport, TransportError};
+pub use transport::{SpoolTransport, Transport, TransportError};
 
 /// Exit code a worker process uses for an **injected** crash
 /// (`--fail-after-bodies`), distinct from real failures so tests can tell
@@ -92,7 +93,7 @@ pub const SIMULATED_CRASH_EXIT: u8 = 13;
 /// argument errors; the flag reference lives in `DEPLOYMENT.md`).
 pub const WORKER_USAGE: &str = "\
 usage: shard_worker --bodies <n> --shard-index <i> --shard-start <a> --shard-end <b>
-                    (--spool <dir> | --connect <host:port>)
+                    --spool <dir>
                     [--base-seed <u64>] [--horizon-s <f64> | --horizon-bits <u64>]
                     [--top-k <n>] [--population <uniform|mixed>] [--threads <n>]
                     [--mac <tdma|polling>] [--radio <wi-r|ble|nfmi|wifi>]
@@ -164,7 +165,7 @@ pub fn parse_radio_tag(tag: &str) -> Result<RadioTechnology, String> {
 pub enum DriverError {
     /// The worker CLI arguments were malformed (see [`WORKER_USAGE`]).
     Usage(String),
-    /// The transport failed mechanically (I/O, protocol violation).
+    /// The transport failed mechanically (I/O).
     Transport(TransportError),
     /// A worker process could not be spawned at all.
     Spawn {
@@ -588,16 +589,6 @@ impl ShardAssignment {
     }
 }
 
-/// Which transport end a worker should construct (from `--spool` /
-/// `--connect`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WorkerTransport {
-    /// Publish into a spool directory (atomic write-to-temp + rename).
-    Spool(PathBuf),
-    /// Connect to a coordinator's [`SocketHub`] at `host:port`.
-    Connect(String),
-}
-
 /// What a worker invocation did.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WorkerOutcome {
@@ -621,8 +612,8 @@ pub struct WorkerRequest {
     pub spec: DriverFleetSpec,
     /// The shard this worker folds.
     pub shard: ShardAssignment,
-    /// Where the checkpoint blob goes.
-    pub transport: WorkerTransport,
+    /// The spool directory the checkpoint blob is published into.
+    pub spool: PathBuf,
     /// Thread width of the worker's internal [`SweepRunner`] (default 1:
     /// parallelism normally comes from running many workers).
     pub threads: usize,
@@ -630,7 +621,7 @@ pub struct WorkerRequest {
     /// publishing — a deterministic stand-in for `kill -9`.
     pub fail_after: Option<usize>,
     /// Fault injection: additionally leave a partial temp blob in the spool
-    /// (requires `--spool`), as a worker killed mid-write would.
+    /// (requires `--fail-after-bodies`), as a worker killed mid-write would.
     pub fail_with_partial: bool,
 }
 
@@ -656,7 +647,6 @@ impl WorkerRequest {
         let mut shard_start = None;
         let mut shard_end = None;
         let mut spool: Option<PathBuf> = None;
-        let mut connect: Option<String> = None;
         let mut threads = 1usize;
         let mut fail_after = None;
         let mut fail_with_partial = false;
@@ -713,7 +703,6 @@ impl WorkerRequest {
                 "--shard-start" => shard_start = Some(parse_value(&flag, args.next())?),
                 "--shard-end" => shard_end = Some(parse_value(&flag, args.next())?),
                 "--spool" => spool = Some(PathBuf::from(require_value(&flag, args.next())?)),
-                "--connect" => connect = Some(require_value(&flag, args.next())?),
                 "--threads" => threads = parse_value::<usize>(&flag, args.next())?.max(1),
                 "--fail-after-bodies" => fail_after = Some(parse_value(&flag, args.next())?),
                 "--fail-with-partial" => fail_with_partial = true,
@@ -767,77 +756,75 @@ impl WorkerRequest {
                 shard.start, shard.end
             )));
         }
-        let transport = match (spool, connect) {
-            (Some(dir), None) => WorkerTransport::Spool(dir),
-            (None, Some(addr)) => WorkerTransport::Connect(addr),
-            (None, None) => {
-                return Err(DriverError::Usage(
-                    "one of --spool or --connect is required".into(),
-                ));
-            }
-            (Some(_), Some(_)) => {
-                return Err(DriverError::Usage(
-                    "--spool and --connect are mutually exclusive".into(),
-                ));
-            }
-        };
-        if fail_with_partial && !matches!(transport, WorkerTransport::Spool(_)) {
+        let spool = spool.ok_or_else(|| DriverError::Usage("--spool is required".into()))?;
+        if fail_with_partial && fail_after.is_none() {
             return Err(DriverError::Usage(
-                "--fail-with-partial requires --spool".into(),
+                "--fail-with-partial requires --fail-after-bodies".into(),
             ));
         }
         Ok(Self {
             spec,
             shard,
-            transport,
+            spool,
             threads,
             fail_after,
             fail_with_partial,
         })
     }
 
-    /// Folds the assigned range and publishes the checkpoint blob.
+    /// Folds the assigned range and publishes the checkpoint blob into the
+    /// spool.
     ///
     /// # Errors
-    /// [`DriverError`] when the spool/socket transport cannot be constructed
-    /// or the publish fails.
+    /// [`DriverError`] when the spool cannot be created or the publish
+    /// fails.
     pub fn run(&self) -> Result<WorkerOutcome, DriverError> {
-        let runner = SweepRunner::with_threads(self.threads);
+        let spool = SpoolTransport::create(&self.spool).map_err(TransportError::Io)?;
+        let Some(fail_after) = self.fail_after else {
+            let blob_bytes = fold_and_publish(&self.spec, &self.shard, self.threads, &spool)?;
+            return Ok(WorkerOutcome::Completed {
+                bodies: self.shard.end - self.shard.start,
+                blob_bytes,
+            });
+        };
+        // Deterministic stand-in for a mid-shard kill: fold a prefix,
+        // publish nothing complete, die with the simulated-crash code.
+        let stop = (self.shard.start + fail_after).min(self.shard.end);
         let config = self.spec.to_config();
-        let links = LinkCache::for_population(config.population());
-        let mut partial = FleetAggregator::new(config.horizon(), config.top_k());
-        if let Some(fail_after) = self.fail_after {
-            // Deterministic stand-in for a mid-shard kill: fold a prefix,
-            // publish nothing complete, die with the simulated-crash code.
-            let stop = (self.shard.start + fail_after).min(self.shard.end);
-            config.fold_range(&runner, &links, &mut partial, self.shard.start..stop);
-            if self.fail_with_partial {
-                if let WorkerTransport::Spool(dir) = &self.transport {
-                    let spool = SpoolTransport::create(dir).map_err(TransportError::Io)?;
-                    let blob = FleetCheckpoint::capture(&config, &partial, stop).save();
-                    spool
-                        .write_partial(self.shard.index, &blob)
-                        .map_err(TransportError::Io)?;
-                }
-            }
-            return Ok(WorkerOutcome::SimulatedCrash);
+        let blob = fold_blob(&config, self.shard.start..stop, self.threads);
+        if self.fail_with_partial {
+            spool
+                .write_partial(self.shard.index, &blob)
+                .map_err(TransportError::Io)?;
         }
-        config.fold_range(&runner, &links, &mut partial, self.shard.range());
-        let blob = FleetCheckpoint::capture(&config, &partial, self.shard.end).save();
-        match &self.transport {
-            WorkerTransport::Spool(dir) => {
-                let spool = SpoolTransport::create(dir).map_err(TransportError::Io)?;
-                spool.publish(self.shard.index, &blob)?;
-            }
-            WorkerTransport::Connect(addr) => {
-                SocketPublisher::new(addr.clone()).publish(self.shard.index, &blob)?;
-            }
-        }
-        Ok(WorkerOutcome::Completed {
-            bodies: self.shard.end - self.shard.start,
-            blob_bytes: blob.len(),
-        })
+        Ok(WorkerOutcome::SimulatedCrash)
     }
+}
+
+/// Folds bodies `range` of `config` on a `threads`-wide [`SweepRunner`] and
+/// seals the partial state as a checkpoint blob ending at `range.end`.
+fn fold_blob(config: &FleetConfig, range: Range<usize>, threads: usize) -> Bytes {
+    let runner = SweepRunner::with_threads(threads);
+    let links = LinkCache::for_population(config.population());
+    let mut partial = FleetAggregator::new(config.horizon(), config.top_k());
+    let end = range.end;
+    config.fold_range(&runner, &links, &mut partial, range);
+    FleetCheckpoint::capture(config, &partial, end).save()
+}
+
+/// Folds `shard` of `spec` and publishes its checkpoint blob on `transport`:
+/// the one fold-and-publish path behind both the worker CLI
+/// ([`WorkerRequest::run`]) and [`InProcessExecutor`].  Returns the blob's
+/// size in bytes.
+fn fold_and_publish(
+    spec: &DriverFleetSpec,
+    shard: &ShardAssignment,
+    threads: usize,
+    transport: &dyn Transport,
+) -> Result<usize, DriverError> {
+    let blob = fold_blob(&spec.to_config(), shard.range(), threads);
+    transport.publish(shard.index, &blob)?;
+    Ok(blob.len())
 }
 
 fn require_value(flag: &str, value: Option<String>) -> Result<String, DriverError> {
@@ -951,32 +938,7 @@ impl ShardExecutor for InProcessExecutor {
         _attempt: usize,
         transport: &dyn Transport,
     ) -> Result<(), DriverError> {
-        WorkerRequest {
-            spec: spec.clone(),
-            shard: shard.clone(),
-            // The request publishes through `transport` below, not through
-            // a parsed transport spec; give it a placeholder it never uses.
-            transport: WorkerTransport::Spool(PathBuf::new()),
-            threads: self.threads,
-            fail_after: None,
-            fail_with_partial: false,
-        }
-        .fold_and_publish_on(transport)
-    }
-}
-
-impl WorkerRequest {
-    /// Folds the range and publishes on an already-constructed transport
-    /// (the in-process path; [`run`](Self::run) is the CLI path that builds
-    /// the transport from flags).
-    fn fold_and_publish_on(&self, transport: &dyn Transport) -> Result<(), DriverError> {
-        let runner = SweepRunner::with_threads(self.threads);
-        let config = self.spec.to_config();
-        let links = LinkCache::for_population(config.population());
-        let mut partial = FleetAggregator::new(config.horizon(), config.top_k());
-        config.fold_range(&runner, &links, &mut partial, self.shard.range());
-        let blob = FleetCheckpoint::capture(&config, &partial, self.shard.end).save();
-        transport.publish(self.shard.index, &blob)?;
+        fold_and_publish(spec, shard, self.threads, transport)?;
         Ok(())
     }
 }
@@ -1512,10 +1474,7 @@ mod tests {
         let request = WorkerRequest::parse(args).expect("canonical args parse");
         assert_eq!(request.spec, spec);
         assert_eq!(request.shard, shard);
-        assert_eq!(
-            request.transport,
-            WorkerTransport::Spool(PathBuf::from("/tmp/somewhere"))
-        );
+        assert_eq!(request.spool, PathBuf::from("/tmp/somewhere"));
         assert_eq!(request.threads, 1);
         assert_eq!(request.fail_after, None);
     }
@@ -1540,7 +1499,7 @@ mod tests {
             "0",
             "--shard-end",
             "5",
-        ]); // transport missing
+        ]); // --spool missing
         usage(&[
             "--bodies",
             "10",
@@ -1580,7 +1539,20 @@ mod tests {
             "/tmp/x",
             "--connect",
             "127.0.0.1:1",
-        ]); // both transports
+        ]); // --connect is an unknown flag
+        usage(&[
+            "--bodies",
+            "10",
+            "--shard-index",
+            "0",
+            "--shard-start",
+            "0",
+            "--shard-end",
+            "5",
+            "--spool",
+            "/tmp/x",
+            "--fail-with-partial",
+        ]); // --fail-with-partial without --fail-after-bodies
     }
 
     #[test]

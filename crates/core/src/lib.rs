@@ -36,9 +36,8 @@
 //! * [`sealed`] — the one envelope (magic, version, FNV-1a 64 seal) every
 //!   persisted and wire format shares, and the one atomic, fsynced file
 //!   publish.
-//! * [`wire`] — the length-prefixed socket framing shared by the fleet blob
-//!   transport and the plan server (one implementation, capped reads, typed
-//!   errors).
+//! * [`wire`] — the length-prefixed socket framing of the plan server (one
+//!   implementation, capped reads, typed errors).
 //! * [`serve`] — the partition optimiser and Fig. 3 projector as a warm,
 //!   long-running TCP service: sealed binary codec, exact interned-key plan
 //!   cache, std-only thread-per-connection front-end and matching client.

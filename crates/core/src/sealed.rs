@@ -156,20 +156,28 @@ pub fn temp_path(dir: &Path, name: &str) -> PathBuf {
 /// [`temp_path`], `fsync` it, `rename` it over `name`, then `fsync` `dir` so
 /// the rename itself survives a crash.  `rename(2)` within one directory is
 /// atomic on POSIX filesystems, so a reader never sees a partial file, and
-/// a writer killed mid-way leaves only the ignored temp file.
+/// a writer killed mid-way leaves only the ignored temp file.  A publish
+/// that *fails* before the rename removes its temp file: a retry runs under
+/// a new pid, so a leftover would never be overwritten and, on a full disk,
+/// every retry would strand another one.
 ///
 /// # Errors
 /// Any [`std::io::Error`] from the writes, syncs or rename.
 pub fn atomic_publish(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<()> {
     let temp = temp_path(dir, name);
-    {
+    let staged = (|| {
         let mut file = std::fs::File::create(&temp)?;
         file.write_all(bytes)?;
         // Durability before visibility: the rename must never expose a
         // name whose bytes could still be lost to a crash.
         file.sync_all()?;
+        std::fs::rename(&temp, dir.join(name))
+    })();
+    if let Err(error) = staged {
+        // Best effort: the original failure is the one worth reporting.
+        let _ = std::fs::remove_file(&temp);
+        return Err(error);
     }
-    std::fs::rename(&temp, dir.join(name))?;
     std::fs::File::open(dir)?.sync_all()
 }
 
@@ -222,6 +230,22 @@ mod tests {
         atomic_publish(&dir, "blob", b"second").unwrap();
         assert_eq!(std::fs::read(dir.join("blob")).unwrap(), b"second");
         assert!(!temp_path(&dir, "blob").exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_atomic_publish_removes_its_temp_file() {
+        let dir = std::env::temp_dir().join(format!("hidwa-sealed-fail-{}", std::process::id()));
+        // A non-empty directory under the target name makes the rename fail.
+        std::fs::create_dir_all(dir.join("blob")).unwrap();
+        std::fs::write(dir.join("blob").join("occupant"), b"x").unwrap();
+        assert!(atomic_publish(&dir, "blob", b"bytes").is_err());
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.contains(".tmp-"))
+            .collect();
+        assert!(leftovers.is_empty(), "stranded temp files: {leftovers:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }
